@@ -1,7 +1,9 @@
 #include "common/str_util.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <system_error>
 
 namespace sjos {
 
@@ -62,6 +64,13 @@ std::string StrFormat(const char* fmt, ...) {
 }
 
 std::string FormatDouble(double v, int decimals) {
+  // std::to_chars with a precision prints exactly what printf's "%.*f"
+  // does, without the format-string parse; the rare value too long for
+  // the buffer takes the printf path.
+  char buf[128];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), v, std::chars_format::fixed, decimals);
+  if (r.ec == std::errc()) return std::string(buf, r.ptr);
   return StrFormat("%.*f", decimals, v);
 }
 

@@ -24,7 +24,8 @@ class DpOptimizer : public Optimizer {
  public:
   const char* name() const override { return "DP"; }
 
-  Result<OptimizeResult> Optimize(const OptimizeContext& ctx) override {
+ protected:
+  Result<OptimizeResult> Search(const OptimizeContext& ctx) override {
     TraceSpan span("optimize:", name());
     Timer timer;
     SJOS_FAILPOINT("opt.search");

@@ -23,7 +23,8 @@ class DpapEbOptimizer : public Optimizer {
   /// The configured bound, for bench labels.
   uint32_t expansion_bound() const { return expansion_bound_; }
 
-  Result<OptimizeResult> Optimize(const OptimizeContext& ctx) override {
+ protected:
+  Result<OptimizeResult> Search(const OptimizeContext& ctx) override {
     TraceSpan span("optimize:", name());
     BestFirstOptions options;
     options.lookahead = true;

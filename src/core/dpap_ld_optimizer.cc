@@ -15,7 +15,8 @@ class DpapLdOptimizer : public Optimizer {
  public:
   const char* name() const override { return "DPAP-LD"; }
 
-  Result<OptimizeResult> Optimize(const OptimizeContext& ctx) override {
+ protected:
+  Result<OptimizeResult> Search(const OptimizeContext& ctx) override {
     TraceSpan span("optimize:", name());
     BestFirstOptions options;
     options.lookahead = true;

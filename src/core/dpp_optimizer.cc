@@ -191,7 +191,8 @@ class DppOptimizer : public Optimizer {
     return lookahead_ ? "DPP" : "DPP'";
   }
 
-  Result<OptimizeResult> Optimize(const OptimizeContext& ctx) override {
+ protected:
+  Result<OptimizeResult> Search(const OptimizeContext& ctx) override {
     TraceSpan span("optimize:", name());
     BestFirstOptions options;
     options.lookahead = lookahead_;

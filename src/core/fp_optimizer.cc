@@ -33,7 +33,8 @@ class FpOptimizer : public Optimizer {
  public:
   const char* name() const override { return "FP"; }
 
-  Result<OptimizeResult> Optimize(const OptimizeContext& ctx) override {
+ protected:
+  Result<OptimizeResult> Search(const OptimizeContext& ctx) override {
     TraceSpan span("optimize:", name());
     Timer timer;
     SJOS_FAILPOINT("opt.search");

@@ -2,8 +2,12 @@
 
 #include <utility>
 
+#include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/str_util.h"
+#include "common/timer.h"
+#include "common/trace.h"
+#include "plan/plan_props.h"
 
 namespace sjos {
 
@@ -30,6 +34,28 @@ std::string OptimizerStats::ToString() const {
       static_cast<unsigned long long>(plans_considered),
       static_cast<unsigned long long>(statuses_generated),
       static_cast<unsigned long long>(statuses_expanded), opt_time_ms);
+}
+
+Result<OptimizeResult> Optimizer::Optimize(const OptimizeContext& ctx) {
+  if (ctx.pattern->NumNodes() != 1) return Search(ctx);
+  // One node, no edges: the plan is its index scan, whatever the
+  // algorithm (the scan FP's re-rooting search also arrives at).
+  TraceSpan span("optimize:", name());
+  Timer timer;
+  SJOS_FAILPOINT("opt.search");
+  SJOS_RETURN_IF_ERROR(ctx.pattern->Validate());
+  OptimizeResult result;
+  result.plan.SetRoot(result.plan.AddIndexScan(0));
+  SJOS_RETURN_IF_ERROR(ValidatePlan(result.plan, *ctx.pattern));
+  Result<PlanProps> props = ComputePlanProps(result.plan, *ctx.pattern,
+                                             *ctx.estimates, *ctx.cost_model);
+  if (!props.ok()) return props.status();
+  result.modelled_cost = props.value().total_cost;
+  AnnotatePlanEstimates(&result.plan, props.value());
+  result.stats.statuses_generated = 1;
+  result.stats.opt_time_ms = timer.ElapsedMs();
+  RecordOptimizerMetrics(result.stats);
+  return result;
 }
 
 Result<OptimizeResult> FallbackToFp(const OptimizeContext& ctx,

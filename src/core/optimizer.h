@@ -86,11 +86,17 @@ class Optimizer {
 
   /// Finds an evaluation plan for the context's pattern. Fails on invalid
   /// patterns, patterns over kMaxPatternNodes, or (for restricted search
-  /// spaces) when no plan within the space exists.
-  virtual Result<OptimizeResult> Optimize(const OptimizeContext& ctx) = 0;
+  /// spaces) when no plan within the space exists. A one-node pattern has
+  /// no join order to choose: every algorithm returns the single
+  /// index-scan plan, built here rather than by each search.
+  Result<OptimizeResult> Optimize(const OptimizeContext& ctx);
 
   /// Algorithm name as used in the paper's tables ("DP", "DPP", ...).
   virtual const char* name() const = 0;
+
+ protected:
+  /// The algorithm's plan search, for patterns with at least one edge.
+  virtual Result<OptimizeResult> Search(const OptimizeContext& ctx) = 0;
 };
 
 /// Factory helpers for the paper's line-up.

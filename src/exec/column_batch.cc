@@ -104,22 +104,7 @@ bool ColumnBatch::IsSortedBySlot(size_t slot) const {
 }
 
 std::vector<std::vector<NodeId>> ColumnBatch::Canonical() const {
-  // Column order: ascending pattern node id (matches TupleSet::Canonical).
-  std::vector<size_t> col_order(slots_.size());
-  std::iota(col_order.begin(), col_order.end(), 0);
-  std::sort(col_order.begin(), col_order.end(),
-            [&](size_t x, size_t y) { return slots_[x] < slots_[y]; });
-  std::vector<std::vector<NodeId>> rows;
-  rows.reserve(size());
-  for (size_t r = 0; r < size(); ++r) {
-    std::vector<NodeId> row(slots_.size());
-    for (size_t c = 0; c < slots_.size(); ++c) {
-      row[c] = At(r, col_order[c]);
-    }
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
+  return ToRows().Canonical();
 }
 
 TupleSet ColumnBatch::ToRows() const {

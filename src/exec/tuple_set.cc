@@ -1,6 +1,8 @@
 #include "exec/tuple_set.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <limits>
 #include <numeric>
 
 namespace sjos {
@@ -57,22 +59,77 @@ bool TupleSet::IsSortedBySlot(size_t slot) const {
   return true;
 }
 
+std::vector<uint32_t> TupleSet::CanonicalColumns() const {
+  std::vector<uint32_t> cols(slots_.size());
+  std::iota(cols.begin(), cols.end(), 0);
+  std::sort(cols.begin(), cols.end(),
+            [&](uint32_t x, uint32_t y) { return slots_[x] < slots_[y]; });
+  return cols;
+}
+
+std::vector<uint32_t> TupleSet::CanonicalOrder() const {
+  const size_t n = size();
+  SJOS_CHECK(n <= std::numeric_limits<uint32_t>::max(),
+             "TupleSet too large for a 32-bit row permutation");
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  if (n < 2) return order;
+  const std::vector<uint32_t> cols = CanonicalColumns();
+  const size_t a = arity();
+  const NodeId* data = data_.data();
+
+  // Column by column: a range of rows equal in the columns before `level`
+  // is sorted by its value in column `level`, then each run of equal
+  // values is handed to the next column. Each sort is over packed
+  // (value, row) keys, contiguous and compared as plain integers, so no
+  // comparison reaches back into the rows; ranges already in order (the
+  // column the executor sorted by, say) skip the sort.
+  struct Range {
+    size_t begin;
+    size_t end;
+    size_t level;
+  };
+  std::vector<uint64_t> keys(n);
+  std::vector<Range> todo = {{0, n, 0}};
+  while (!todo.empty()) {
+    const Range range = todo.back();
+    todo.pop_back();
+    const size_t col = cols[range.level];
+    bool sorted = true;
+    for (size_t i = range.begin; i < range.end; ++i) {
+      keys[i] = (static_cast<uint64_t>(data[order[i] * a + col]) << 32) |
+                order[i];
+      if (i > range.begin && keys[i] < keys[i - 1]) sorted = false;
+    }
+    if (!sorted) {
+      std::sort(keys.begin() + static_cast<ptrdiff_t>(range.begin),
+                keys.begin() + static_cast<ptrdiff_t>(range.end));
+    }
+    for (size_t i = range.begin; i < range.end; ++i) {
+      order[i] = static_cast<uint32_t>(keys[i]);
+    }
+    if (range.level + 1 == cols.size()) continue;
+    for (size_t begin = range.begin; begin < range.end;) {
+      size_t end = begin + 1;
+      while (end < range.end && (keys[end] >> 32) == (keys[begin] >> 32)) {
+        ++end;
+      }
+      if (end - begin > 1) todo.push_back({begin, end, range.level + 1});
+      begin = end;
+    }
+  }
+  return order;
+}
+
 std::vector<std::vector<NodeId>> TupleSet::Canonical() const {
-  // Column order: ascending pattern node id.
-  std::vector<size_t> col_order(slots_.size());
-  std::iota(col_order.begin(), col_order.end(), 0);
-  std::sort(col_order.begin(), col_order.end(),
-            [&](size_t x, size_t y) { return slots_[x] < slots_[y]; });
+  const std::vector<uint32_t> cols = CanonicalColumns();
   std::vector<std::vector<NodeId>> rows;
   rows.reserve(size());
-  for (size_t r = 0; r < size(); ++r) {
-    std::vector<NodeId> row(slots_.size());
-    for (size_t c = 0; c < slots_.size(); ++c) {
-      row[c] = At(r, col_order[c]);
-    }
-    rows.push_back(std::move(row));
+  for (uint32_t r : CanonicalOrder()) {
+    const NodeId* src = Row(r);
+    std::vector<NodeId>& row = rows.emplace_back(cols.size());
+    for (size_t c = 0; c < cols.size(); ++c) row[c] = src[cols[c]];
   }
-  std::sort(rows.begin(), rows.end());
   return rows;
 }
 

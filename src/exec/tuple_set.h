@@ -45,6 +45,9 @@ class TupleSet {
   /// Pointer to the start of row `row` (arity() consecutive NodeIds).
   const NodeId* Row(size_t row) const { return &data_[row * arity()]; }
 
+  /// All rows, flat and row-major: size() * arity() NodeIds.
+  const NodeId* data() const { return data_.data(); }
+
   /// Appends one row; `row` must have arity() entries.
   void AppendRow(const NodeId* row);
 
@@ -85,8 +88,20 @@ class TupleSet {
   /// True if rows are non-decreasing in `slot`.
   bool IsSortedBySlot(size_t slot) const;
 
+  /// Canonical column order: the schema positions sorted by ascending
+  /// pattern-node id.
+  std::vector<uint32_t> CanonicalColumns() const;
+
+  /// Canonical row order: a permutation of the row indices that sorts the
+  /// rows lexicographically, comparing the columns in CanonicalColumns()
+  /// order. One sort over the flat row-major data, with no per-row
+  /// allocation; the wire encoder walks the rows in this order.
+  std::vector<uint32_t> CanonicalOrder() const;
+
   /// Canonical row dump for result comparison in tests: columns reordered
-  /// by ascending pattern-node id, rows sorted lexicographically.
+  /// by ascending pattern-node id, rows sorted lexicographically. Built
+  /// from CanonicalColumns() and CanonicalOrder(), so it matches the wire
+  /// encoding row for row.
   std::vector<std::vector<NodeId>> Canonical() const;
 
  private:

@@ -5,21 +5,34 @@
 
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace sjos {
 namespace net {
 
-std::string EncodeFrame(std::string_view payload) {
-  SJOS_CHECK(payload.size() <= kFrameAbsoluteMaxPayload,
+namespace {
+
+/// Writes the big-endian 32-bit length header for a payload of `len`
+/// bytes (at most kFrameAbsoluteMaxPayload, checked).
+void EncodeFrameHeader(size_t len, char header[kFrameHeaderBytes]) {
+  SJOS_CHECK(len <= kFrameAbsoluteMaxPayload,
              "frame payload exceeds the absolute maximum");
-  const uint32_t len = static_cast<uint32_t>(payload.size());
+  const uint32_t n = static_cast<uint32_t>(len);
+  header[0] = static_cast<char>((n >> 24) & 0xFF);
+  header[1] = static_cast<char>((n >> 16) & 0xFF);
+  header[2] = static_cast<char>((n >> 8) & 0xFF);
+  header[3] = static_cast<char>(n & 0xFF);
+}
+
+}  // namespace
+
+std::string EncodeFrame(std::string_view payload) {
+  char header[kFrameHeaderBytes];
+  EncodeFrameHeader(payload.size(), header);
   std::string out;
   out.reserve(kFrameHeaderBytes + payload.size());
-  out.push_back(static_cast<char>((len >> 24) & 0xFF));
-  out.push_back(static_cast<char>((len >> 16) & 0xFF));
-  out.push_back(static_cast<char>((len >> 8) & 0xFF));
-  out.push_back(static_cast<char>(len & 0xFF));
+  out.append(header, kFrameHeaderBytes);
   out.append(payload);
   return out;
 }
@@ -53,10 +66,15 @@ bool IsConnectionLostErrno(int err) {
          err == ECONNABORTED || err == ENETRESET || err == ESHUTDOWN;
 }
 
-Status SendAll(int fd, const char* data, size_t len) {
-  size_t sent = 0;
-  while (sent < len) {
-    const ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
+/// Sends every byte of `iov[0..count)` with sendmsg, advancing through
+/// the vector on partial writes.
+Status SendAllv(int fd, iovec* iov, size_t count) {
+  while (count > 0) {
+    msghdr msg;
+    std::memset(&msg, 0, sizeof(msg));
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (IsConnectionLostErrno(errno)) {
@@ -67,7 +85,16 @@ Status SendAll(int fd, const char* data, size_t len) {
                               std::strerror(errno));
     }
     if (n == 0) return Status::Internal("send wrote zero bytes");
-    sent += static_cast<size_t>(n);
+    size_t sent = static_cast<size_t>(n);
+    while (count > 0 && sent >= iov->iov_len) {
+      sent -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + sent;
+      iov->iov_len -= sent;
+    }
   }
   return Status::OK();
 }
@@ -117,8 +144,14 @@ Status RecvAll(int fd, char* data, size_t len, bool* eof_at_start,
 }  // namespace
 
 Status SendFrame(int fd, std::string_view payload) {
-  const std::string frame = EncodeFrame(payload);
-  return SendAll(fd, frame.data(), frame.size());
+  char header[kFrameHeaderBytes];
+  EncodeFrameHeader(payload.size(), header);
+  iovec iov[2];
+  iov[0].iov_base = header;
+  iov[0].iov_len = kFrameHeaderBytes;
+  iov[1].iov_base = const_cast<char*>(payload.data());
+  iov[1].iov_len = payload.size();
+  return SendAllv(fd, iov, payload.empty() ? 1 : 2);
 }
 
 Status RecvFrame(int fd, size_t max_payload, std::string* payload,

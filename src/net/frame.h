@@ -43,8 +43,10 @@ FrameDecode DecodeFrame(std::string_view buffer, size_t max_payload,
                         std::string_view* payload, size_t* consumed,
                         uint64_t* declared = nullptr);
 
-/// Writes one frame to `fd`, looping over partial writes. SIGPIPE is
-/// suppressed (MSG_NOSIGNAL); a closed peer surfaces as a Status.
+/// Writes one frame to `fd`: the header and the payload go out together
+/// in one gathered send (sendmsg), straight from `payload` with no framed
+/// copy, looping over partial writes. SIGPIPE is suppressed
+/// (MSG_NOSIGNAL); a closed peer surfaces as a Status.
 Status SendFrame(int fd, std::string_view payload);
 
 /// Reads one frame from `fd`. A connection closed cleanly between frames

@@ -1,5 +1,6 @@
 #include "net/http.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <vector>
@@ -248,6 +249,16 @@ std::string ObservabilityServer::StatuszJson() const {
   AppendJsonUint(engine_->query_log().slow_count(), &out);
   out += ",\"log_dropped\":";
   AppendJsonUint(engine_->query_log().dropped(), &out);
+  // The query servers' replay rings (process-wide, as in /metrics): each
+  // entry holds a full terminal response.
+  auto gauge = [](const char* name) {
+    const int64_t v = MetricsRegistry::Global().GetGauge(name).Value();
+    return static_cast<uint64_t>(std::max<int64_t>(0, v));
+  };
+  out += ",\"completed_ring_entries\":";
+  AppendJsonUint(gauge("sjos_server_completed_ring_entries"), &out);
+  out += ",\"completed_ring_bytes\":";
+  AppendJsonUint(gauge("sjos_server_completed_ring_bytes"), &out);
   out += '}';
   return out;
 }

@@ -6,8 +6,8 @@
 //   /metrics — Prometheus text exposition of the global MetricsRegistry
 //   /healthz — "ok" liveness probe
 //   /statusz — JSON: queries in flight right now (id, tenant, optimizer,
-//              elapsed ms, live bytes), recent slow queries, and audit-log
-//              totals
+//              elapsed ms, live bytes), recent slow queries, audit-log
+//              totals, and the size of the query servers' replay rings
 //
 // Deliberately tiny: GET only, one request per connection (Connection:
 // close), recv/send timeouts so a stuck client cannot wedge the accept

@@ -1,17 +1,16 @@
 #include "net/json.h"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-
-#include "common/str_util.h"
+#include <cstring>
+#include <iterator>
 
 namespace sjos {
 namespace net {
 
 const JsonValue* JsonValue::Find(std::string_view key) const {
   if (kind_ != Kind::kObject) return nullptr;
-  for (const auto& [name, value] : members_) {
+  for (const auto& [name, value] : *u_.members) {
     if (name == key) return &value;
   }
   return nullptr;
@@ -54,39 +53,76 @@ Result<bool> JsonValue::GetBool(std::string_view key, bool fallback) const {
   return v->bool_value();
 }
 
+JsonValue::JsonValue(const JsonValue& other) : kind_(other.kind_) {
+  switch (kind_) {
+    case Kind::kString: u_.string = new std::string(*other.u_.string); break;
+    case Kind::kArray: u_.array = new Array(*other.u_.array); break;
+    case Kind::kObject: u_.members = new Members(*other.u_.members); break;
+    default: u_ = other.u_;
+  }
+}
+
+JsonValue& JsonValue::operator=(const JsonValue& other) {
+  if (this != &other) *this = JsonValue(other);
+  return *this;
+}
+
+void JsonValue::FreeBlock() {
+  switch (kind_) {
+    case Kind::kString: delete u_.string; break;
+    case Kind::kArray: delete u_.array; break;
+    case Kind::kObject: delete u_.members; break;
+    default: break;
+  }
+}
+
+const std::string& JsonValue::EmptyString() {
+  static const std::string* const empty = new std::string();
+  return *empty;
+}
+
+const JsonValue::Array& JsonValue::EmptyArray() {
+  static const Array* const empty = new Array();
+  return *empty;
+}
+
+const JsonValue::Members& JsonValue::EmptyMembers() {
+  static const Members* const empty = new Members();
+  return *empty;
+}
+
 JsonValue JsonValue::MakeBool(bool b) {
   JsonValue v;
   v.kind_ = Kind::kBool;
-  v.bool_ = b;
+  v.u_.boolean = b;
   return v;
 }
 
 JsonValue JsonValue::MakeNumber(double n) {
   JsonValue v;
   v.kind_ = Kind::kNumber;
-  v.number_ = n;
+  v.u_.number = n;
   return v;
 }
 
 JsonValue JsonValue::MakeString(std::string s) {
   JsonValue v;
+  v.u_.string = new std::string(std::move(s));
   v.kind_ = Kind::kString;
-  v.string_ = std::move(s);
   return v;
 }
 
-JsonValue JsonValue::MakeArray(std::vector<JsonValue> items) {
+JsonValue JsonValue::MakeArray(Array items) {
   JsonValue v;
+  v.u_.array = new Array(std::move(items));
   v.kind_ = Kind::kArray;
-  v.array_ = std::move(items);
   return v;
 }
 
-JsonValue JsonValue::MakeObject(
-    std::vector<std::pair<std::string, JsonValue>> members) {
+JsonValue JsonValue::MakeObject(Members members) {
   JsonValue v;
+  v.u_.members = new Members(std::move(members));
   v.kind_ = Kind::kObject;
-  v.members_ = std::move(members);
   return v;
 }
 
@@ -169,55 +205,62 @@ class Parser {
     }
   }
 
+  // Arrays and objects collect their elements on a parser-wide scratch
+  // stack and move them into an exactly sized vector at the closing
+  // bracket: one allocation per container instead of one per growth step.
   Status ParseObject(JsonValue* out, size_t depth) {
     ++pos_;  // '{'
-    std::vector<std::pair<std::string, JsonValue>> members;
+    const size_t base = members_.size();
     SkipWs();
-    if (Consume('}')) {
-      *out = JsonValue::MakeObject(std::move(members));
-      return Status::OK();
-    }
-    while (true) {
-      SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Fail("expected a string object key");
+    if (!Consume('}')) {
+      while (true) {
+        SkipWs();
+        if (pos_ >= text_.size() || text_[pos_] != '"') {
+          return Fail("expected a string object key");
+        }
+        std::string key;
+        SJOS_RETURN_IF_ERROR(ParseString(&key));
+        SkipWs();
+        if (!Consume(':')) return Fail("expected ':' after object key");
+        SkipWs();
+        JsonValue value;
+        SJOS_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
+        members_.emplace_back(std::move(key), std::move(value));
+        SkipWs();
+        if (Consume(',')) continue;
+        if (Consume('}')) break;
+        return Fail("expected ',' or '}' in object");
       }
-      std::string key;
-      SJOS_RETURN_IF_ERROR(ParseString(&key));
-      SkipWs();
-      if (!Consume(':')) return Fail("expected ':' after object key");
-      SkipWs();
-      JsonValue value;
-      SJOS_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      members.emplace_back(std::move(key), std::move(value));
-      SkipWs();
-      if (Consume(',')) continue;
-      if (Consume('}')) break;
-      return Fail("expected ',' or '}' in object");
     }
-    *out = JsonValue::MakeObject(std::move(members));
+    const auto first = members_.begin() + static_cast<ptrdiff_t>(base);
+    *out = JsonValue::MakeObject(
+        JsonValue::Members(std::make_move_iterator(first),
+                           std::make_move_iterator(members_.end())));
+    members_.erase(first, members_.end());
     return Status::OK();
   }
 
   Status ParseArray(JsonValue* out, size_t depth) {
     ++pos_;  // '['
-    std::vector<JsonValue> items;
+    const size_t base = items_.size();
     SkipWs();
-    if (Consume(']')) {
-      *out = JsonValue::MakeArray(std::move(items));
-      return Status::OK();
+    if (!Consume(']')) {
+      while (true) {
+        SkipWs();
+        JsonValue value;
+        SJOS_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
+        items_.push_back(std::move(value));
+        SkipWs();
+        if (Consume(',')) continue;
+        if (Consume(']')) break;
+        return Fail("expected ',' or ']' in array");
+      }
     }
-    while (true) {
-      SkipWs();
-      JsonValue value;
-      SJOS_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      items.push_back(std::move(value));
-      SkipWs();
-      if (Consume(',')) continue;
-      if (Consume(']')) break;
-      return Fail("expected ',' or ']' in array");
-    }
-    *out = JsonValue::MakeArray(std::move(items));
+    const auto first = items_.begin() + static_cast<ptrdiff_t>(base);
+    *out = JsonValue::MakeArray(
+        JsonValue::Array(std::make_move_iterator(first),
+                         std::make_move_iterator(items_.end())));
+    items_.erase(first, items_.end());
     return Status::OK();
   }
 
@@ -233,8 +276,15 @@ class Parser {
       }
       if (c < 0x20) return Fail("unescaped control character in string");
       if (c != '\\') {
-        out->push_back(static_cast<char>(c));
-        ++pos_;
+        // Copy the whole run of plain bytes at once.
+        size_t end = pos_ + 1;
+        while (end < text_.size()) {
+          const unsigned char d = static_cast<unsigned char>(text_[end]);
+          if (d == '"' || d == '\\' || d < 0x20) break;
+          ++end;
+        }
+        out->append(text_.data() + pos_, end - pos_);
+        pos_ = end;
         continue;
       }
       ++pos_;  // backslash
@@ -310,48 +360,68 @@ class Parser {
     }
   }
 
+  bool AtDigit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  }
+
+  // Scans the number token in place. A token of integer digits only whose
+  // value is at most 2^53 is converted exactly from the digits; every
+  // other token (fraction, exponent, larger integer) goes through strtod,
+  // so each double is the one strtod gives for the token.
   Status ParseNumber(JsonValue* out) {
     const size_t start = pos_;
-    if (Consume('-')) {
-      // fallthrough to digits
-    }
-    if (pos_ >= text_.size() ||
-        !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
-      return Fail("invalid number");
-    }
+    const bool negative = Consume('-');
+    if (!AtDigit()) return Fail("invalid number");
+    uint64_t mantissa = 0;
+    size_t digits = 0;
     if (text_[pos_] == '0') {
       ++pos_;
     } else {
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      while (AtDigit()) {
+        // 16 digits cannot overflow; longer integers take the strtod path.
+        if (++digits <= 16) {
+          mantissa = mantissa * 10 + static_cast<uint64_t>(text_[pos_] - '0');
+        }
         ++pos_;
       }
     }
+    bool integer = true;
     if (Consume('.')) {
-      if (pos_ >= text_.size() ||
-          !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
-        return Fail("invalid number: missing fraction digits");
-      }
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
+      integer = false;
+      if (!AtDigit()) return Fail("invalid number: missing fraction digits");
+      while (AtDigit()) ++pos_;
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      integer = false;
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
         ++pos_;
       }
-      if (pos_ >= text_.size() ||
-          !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
-        return Fail("invalid number: missing exponent digits");
-      }
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
+      if (!AtDigit()) return Fail("invalid number: missing exponent digits");
+      while (AtDigit()) ++pos_;
     }
-    const std::string token(text_.substr(start, pos_ - start));
+    constexpr uint64_t kExactLimit = uint64_t{1} << 53;
+    if (integer && digits <= 16 && mantissa <= kExactLimit) {
+      const double magnitude = static_cast<double>(mantissa);
+      *out = JsonValue::MakeNumber(negative ? -magnitude : magnitude);
+      return Status::OK();
+    }
+    // strtod needs a terminated copy of the token; short tokens stay on
+    // the stack.
+    const std::string_view token = text_.substr(start, pos_ - start);
+    char stack_buf[64];
+    std::string heap_buf;
+    const char* terminated = stack_buf;
+    if (token.size() < sizeof(stack_buf)) {
+      std::memcpy(stack_buf, token.data(), token.size());
+      stack_buf[token.size()] = '\0';
+    } else {
+      heap_buf.assign(token);
+      terminated = heap_buf.c_str();
+    }
     char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0' || !std::isfinite(value)) {
+    const double value = std::strtod(terminated, &end);
+    if (end != terminated + token.size() || !std::isfinite(value)) {
       return Fail("number out of range");
     }
     *out = JsonValue::MakeNumber(value);
@@ -361,6 +431,8 @@ class Parser {
   std::string_view text_;
   size_t max_depth_;
   size_t pos_ = 0;
+  JsonValue::Array items_;      // open arrays' elements, innermost last
+  JsonValue::Members members_;  // open objects' members, innermost last
 };
 
 }  // namespace
@@ -370,6 +442,7 @@ Result<JsonValue> ParseJson(std::string_view text, size_t max_depth) {
 }
 
 void AppendJsonString(std::string_view text, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out->push_back('"');
   for (unsigned char c : text) {
     switch (c) {
@@ -382,7 +455,9 @@ void AppendJsonString(std::string_view text, std::string* out) {
       case '\t': *out += "\\t"; break;
       default:
         if (c < 0x20) {
-          *out += StrFormat("\\u%04x", c);
+          *out += "\\u00";
+          out->push_back(kHex[c >> 4]);
+          out->push_back(kHex[c & 0xF]);
         } else {
           out->push_back(static_cast<char>(c));
         }
@@ -391,8 +466,61 @@ void AppendJsonString(std::string_view text, std::string* out) {
   out->push_back('"');
 }
 
+namespace {
+
+/// "00".."99": two decimal digits per table lookup.
+constexpr char kDigitPairs[] =
+    "00010203040506070809101112131415161718192021222324"
+    "25262728293031323334353637383940414243444546474849"
+    "50515253545556575859606162636465666768697071727374"
+    "75767778798081828384858687888990919293949596979899";
+
+/// Writes the digits of `value` backwards, ending just before `end`.
+template <typename U>
+void WriteDigitsBackward(U value, char* end) {
+  while (value >= 100) {
+    const size_t i = static_cast<size_t>(value % 100) * 2;
+    value /= 100;
+    *--end = kDigitPairs[i + 1];
+    *--end = kDigitPairs[i];
+  }
+  if (value >= 10) {
+    const size_t i = static_cast<size_t>(value) * 2;
+    *--end = kDigitPairs[i + 1];
+    *--end = kDigitPairs[i];
+  } else {
+    *--end = static_cast<char>('0' + value);
+  }
+}
+
+}  // namespace
+
+size_t DecimalLength(uint64_t value) {
+  size_t n = 1;
+  while (true) {
+    if (value < 10) return n;
+    if (value < 100) return n + 1;
+    if (value < 1000) return n + 2;
+    if (value < 10000) return n + 3;
+    value /= 10000;
+    n += 4;
+  }
+}
+
+char* WriteDecimal(uint64_t value, char* out) {
+  char* end = out + DecimalLength(value);
+  // Node ids fit in 32 bits; 32-bit division is the cheaper loop.
+  if (value <= UINT32_MAX) {
+    WriteDigitsBackward(static_cast<uint32_t>(value), end);
+  } else {
+    WriteDigitsBackward(value, end);
+  }
+  return end;
+}
+
 void AppendJsonUint(uint64_t value, std::string* out) {
-  *out += StrFormat("%llu", static_cast<unsigned long long>(value));
+  char digits[kMaxDecimalDigits];
+  out->append(digits, WriteDecimal(value, digits));
 }
 
 }  // namespace net

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 
 #include <arpa/inet.h>
@@ -41,6 +42,8 @@ struct ServerMetrics {
   Counter& replays;
   Gauge& connections_active;
   Gauge& live_queries;
+  Gauge& ring_entries;
+  Gauge& ring_bytes;
 
   static ServerMetrics& Get() {
     static ServerMetrics* m = [] {
@@ -55,6 +58,10 @@ struct ServerMetrics {
                   "Submissions shed because the server is draining");
       reg.SetHelp("sjos_server_idle_closed_total",
                   "Connections reaped by the read/idle timeout");
+      reg.SetHelp("sjos_server_completed_ring_entries",
+                  "Terminal responses held in the replay ring");
+      reg.SetHelp("sjos_server_completed_ring_bytes",
+                  "Payload bytes of the responses held in the replay ring");
       return new ServerMetrics{
           reg.GetCounter("sjos_server_connections_total"),
           reg.GetCounter("sjos_server_disconnect_cancels_total"),
@@ -63,7 +70,9 @@ struct ServerMetrics {
           reg.GetCounter("sjos_server_submit_attaches_total"),
           reg.GetCounter("sjos_server_replayed_responses_total"),
           reg.GetGauge("sjos_server_connections_active"),
-          reg.GetGauge("sjos_server_live_queries")};
+          reg.GetGauge("sjos_server_live_queries"),
+          reg.GetGauge("sjos_server_completed_ring_entries"),
+          reg.GetGauge("sjos_server_completed_ring_bytes")};
     }();
     return *m;
   }
@@ -84,64 +93,9 @@ void AppendOkHead(std::string_view id, std::string* out) {
   *out += ",\"ok\":true";
 }
 
-/// Serializes a finished query. Rows are emitted in canonical form
-/// (columns by ascending pattern-node id, rows sorted) so two executions
-/// of the same query — in-process or across the wire — compare equal
-/// byte for byte.
-std::string EncodeDoneResult(std::string_view id, const QueryResult& qr,
-                             size_t max_payload) {
-  std::vector<std::vector<NodeId>> rows = qr.tuples.Canonical();
-  std::vector<PatternNodeId> slots = qr.tuples.slots();
-  std::sort(slots.begin(), slots.end());
-
-  // A response the framing layer could never carry must degrade to an
-  // explicit error, not an SJOS_CHECK abort inside EncodeFrame.
-  const size_t approx_bytes = rows.size() * (slots.size() + 1) * 12 + 4096;
-  if (approx_bytes > std::min(max_payload, kFrameAbsoluteMaxPayload)) {
-    return EncodeErrorResponse(
-        id, Status::ResourceExhausted(
-                "result of " + std::to_string(rows.size()) +
-                " rows is too large for one response frame — tighten the "
-                "query or raise max_frame_bytes"));
-  }
-
-  std::string out;
-  AppendOkHead(id, &out);
-  out += ",\"done\":true,\"result\":{\"slots\":[";
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendJsonUint(static_cast<uint64_t>(slots[i]), &out);
-  }
-  out += "],\"rows\":[";
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (r > 0) out += ',';
-    out += '[';
-    for (size_t c = 0; c < rows[r].size(); ++c) {
-      if (c > 0) out += ',';
-      AppendJsonUint(static_cast<uint64_t>(rows[r][c]), &out);
-    }
-    out += ']';
-  }
-  out += "],\"row_count\":";
-  AppendJsonUint(rows.size(), &out);
-  out += ",\"stats\":{\"result_rows\":";
-  AppendJsonUint(qr.stats.result_rows, &out);
-  out += ",\"wall_ms\":" + FormatDouble(qr.stats.wall_ms, 3);
-  out += ",\"peak_live_rows\":";
-  AppendJsonUint(qr.stats.peak_live_rows, &out);
-  out += ",\"peak_live_bytes\":";
-  AppendJsonUint(qr.stats.peak_live_bytes, &out);
-  out += ",\"max_q_error\":" + FormatDouble(qr.stats.max_q_error, 4);
-  out += "},\"algorithm\":";
-  AppendJsonString(qr.planned.algorithm, &out);
-  out += ",\"cache_hit\":";
-  out += qr.planned.cache_hit ? "true" : "false";
-  out += ",\"fallback_from\":";
-  AppendJsonString(qr.planned.fallback_from, &out);
-  out += ",\"query_id\":";
-  AppendJsonString(qr.query_id, &out);
-  out += "}}";
-  return out;
+/// Wraps a finished response for the socket write (and the replay ring).
+std::shared_ptr<const std::string> Share(std::string response) {
+  return std::make_shared<const std::string>(std::move(response));
 }
 
 std::string EncodeDoneError(std::string_view id, const Status& status,
@@ -169,6 +123,88 @@ std::string EncodeDoneError(std::string_view id, const Status& status,
 
 }  // namespace
 
+// The rows are written straight from the result's flat data, walking
+// TupleSet::CanonicalOrder(), into one buffer sized exactly up front: no
+// per-row allocation and no formatting calls.
+std::string EncodeDoneResult(std::string_view id, const QueryResult& qr,
+                             size_t max_payload) {
+  const TupleSet& tuples = qr.tuples;
+  const size_t nrows = tuples.size();
+  const size_t arity = tuples.arity();
+
+  // A response the framing layer could never carry must degrade to an
+  // explicit error, not an SJOS_CHECK abort inside the frame encoder.
+  const size_t approx_bytes = nrows * (arity + 1) * 12 + 4096;
+  if (approx_bytes > std::min(max_payload, kFrameAbsoluteMaxPayload)) {
+    return EncodeErrorResponse(
+        id, Status::ResourceExhausted(
+                "result of " + std::to_string(nrows) +
+                " rows is too large for one response frame — tighten the "
+                "query or raise max_frame_bytes"));
+  }
+
+  std::vector<PatternNodeId> slots = tuples.slots();
+  std::sort(slots.begin(), slots.end());
+  std::string out;
+  AppendOkHead(id, &out);
+  out += ",\"done\":true,\"result\":{\"slots\":[";
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (i > 0) out += ',';
+    AppendJsonUint(static_cast<uint64_t>(slots[i]), &out);
+  }
+  out += "],\"rows\":[";
+
+  std::string tail = "],\"row_count\":";
+  AppendJsonUint(nrows, &tail);
+  tail += ",\"stats\":{\"result_rows\":";
+  AppendJsonUint(qr.stats.result_rows, &tail);
+  tail += ",\"wall_ms\":" + FormatDouble(qr.stats.wall_ms, 3);
+  tail += ",\"peak_live_rows\":";
+  AppendJsonUint(qr.stats.peak_live_rows, &tail);
+  tail += ",\"peak_live_bytes\":";
+  AppendJsonUint(qr.stats.peak_live_bytes, &tail);
+  tail += ",\"max_q_error\":" + FormatDouble(qr.stats.max_q_error, 4);
+  tail += "},\"algorithm\":";
+  AppendJsonString(qr.planned.algorithm, &tail);
+  tail += ",\"cache_hit\":";
+  tail += qr.planned.cache_hit ? "true" : "false";
+  tail += ",\"fallback_from\":";
+  AppendJsonString(qr.planned.fallback_from, &tail);
+  tail += ",\"query_id\":";
+  AppendJsonString(qr.query_id, &tail);
+  tail += "}}";
+
+  // Exact size of the rows section: every row is '[' ids ']' with commas
+  // between ids and between rows.
+  size_t rows_bytes = 0;
+  if (nrows > 0) {
+    const NodeId* data = tuples.data();
+    for (size_t i = 0; i < nrows * arity; ++i) {
+      rows_bytes += DecimalLength(data[i]);
+    }
+    rows_bytes += nrows * (arity + 2) - 1;
+  }
+  out.reserve(out.size() + rows_bytes + tail.size());
+  const size_t rows_at = out.size();
+  out.resize(rows_at + rows_bytes);
+  char* p = out.data() + rows_at;
+  const std::vector<uint32_t> cols = tuples.CanonicalColumns();
+  const std::vector<uint32_t> order = tuples.CanonicalOrder();
+  for (size_t i = 0; i < nrows; ++i) {
+    if (i > 0) *p++ = ',';
+    *p++ = '[';
+    const NodeId* row = tuples.Row(order[i]);
+    for (size_t c = 0; c < arity; ++c) {
+      if (c > 0) *p++ = ',';
+      p = WriteDecimal(row[cols[c]], p);
+    }
+    *p++ = ']';
+  }
+  SJOS_CHECK(p == out.data() + out.size(), "result rows overran their size");
+  out += tail;
+  return out;
+}
+
 QueryServer::QueryServer(Engine* engine, ServerOptions options)
     : engine_(engine), options_(std::move(options)),
       quotas_(options_.default_quota) {
@@ -185,6 +221,8 @@ QueryServer::~QueryServer() {
   }
   if (drainer.joinable()) drainer.join();
   Stop();
+  std::lock_guard<std::mutex> lock(queries_mu_);
+  while (!completed_.empty()) EraseCompletedLocked(completed_.begin());
 }
 
 Status QueryServer::Start() {
@@ -238,12 +276,14 @@ Status QueryServer::Start() {
 void QueryServer::Stop() {
   if (!started_.exchange(false)) return;
   stopping_.store(true);
+  // shutdown() wakes the accept loop; the descriptor is closed and reset
+  // only after the loop has exited, because the loop reads listen_fd_.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::lock_guard<std::mutex> lock(conn_mu_);
   for (auto& conn : connections_) {
     if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
@@ -385,14 +425,25 @@ void QueryServer::AcceptLoop() {
   }
 }
 
-void QueryServer::PushCompletedLocked(std::string id, std::string response,
+void QueryServer::PushCompletedLocked(std::string id, Response response,
                                       bool disconnect_cancelled) {
   if (options_.completed_ring_capacity == 0) return;
+  ServerMetrics& metrics = ServerMetrics::Get();
+  metrics.ring_entries.Add(1);
+  metrics.ring_bytes.Add(static_cast<int64_t>(response->size()));
   completed_.push_back(
       {std::move(id), std::move(response), disconnect_cancelled});
   while (completed_.size() > options_.completed_ring_capacity) {
-    completed_.pop_front();
+    EraseCompletedLocked(completed_.begin());
   }
+}
+
+void QueryServer::EraseCompletedLocked(
+    std::deque<CompletedEntry>::iterator it) {
+  ServerMetrics& metrics = ServerMetrics::Get();
+  metrics.ring_entries.Sub(1);
+  metrics.ring_bytes.Sub(static_cast<int64_t>(it->response->size()));
+  completed_.erase(it);
 }
 
 const QueryServer::CompletedEntry* QueryServer::FindCompletedLocked(
@@ -429,8 +480,8 @@ void QueryServer::ServeConnection(Connection* conn) {
       break;
     }
     if (clean_eof) break;
-    const std::string response = HandleRequest(conn, payload);
-    if (!SendFrame(conn->fd, response).ok()) break;
+    const Response response = HandleRequest(conn, payload);
+    if (!SendFrame(conn->fd, *response).ok()) break;
   }
 
   // Cancel-on-disconnect: every query this connection still owns (a query
@@ -475,12 +526,12 @@ void QueryServer::ServeConnection(Connection* conn) {
       const bool disconnect_cancelled =
           d.we_cancelled && !result.ok() &&
           result.status().code() == StatusCode::kCancelled;
-      std::string response =
+      Response response = Share(
           result.ok()
               ? EncodeDoneResult(d.id, result.value(),
                                  options_.max_frame_bytes)
               : EncodeDoneError(d.id, result.status(),
-                                d.handle.error_info());
+                                d.handle.error_info()));
       PushCompletedLocked(d.id, std::move(response), disconnect_cancelled);
       queries_.erase(it);
     }
@@ -494,38 +545,39 @@ void QueryServer::ServeConnection(Connection* conn) {
   conn->finished.store(true, std::memory_order_release);
 }
 
-std::string QueryServer::HandleRequest(Connection* conn,
-                                       std::string_view payload) {
+QueryServer::Response QueryServer::HandleRequest(Connection* conn,
+                                                 std::string_view payload) {
   Result<WireRequest> decoded = DecodeRequest(payload);
   if (!decoded.ok()) {
-    return EncodeErrorResponse("", decoded.status());
+    return Share(EncodeErrorResponse("", decoded.status()));
   }
   const WireRequest& req = decoded.value();
   CountRequest(req.verb, req.tenant);
   switch (req.verb) {
-    case Verb::kPing: return HandlePing(req);
+    case Verb::kPing: return Share(HandlePing(req));
     case Verb::kSubmit: return HandleSubmit(conn, req);
     case Verb::kPoll: return HandlePoll(conn, req);
-    case Verb::kCancel: return HandleCancel(conn, req);
-    case Verb::kExplain: return HandleExplain(req);
-    case Verb::kStats: return HandleStats(req);
-    case Verb::kDrain: return HandleDrain(req);
+    case Verb::kCancel: return Share(HandleCancel(conn, req));
+    case Verb::kExplain: return Share(HandleExplain(req));
+    case Verb::kStats: return Share(HandleStats(req));
+    case Verb::kDrain: return Share(HandleDrain(req));
     case Verb::kUpdate: return HandleUpdate(req);
   }
-  return EncodeErrorResponse(req.id, Status::Internal("unreachable verb"));
+  return Share(
+      EncodeErrorResponse(req.id, Status::Internal("unreachable verb")));
 }
 
-std::string QueryServer::HandleSubmit(Connection* conn,
-                                      const WireRequest& req) {
+QueryServer::Response QueryServer::HandleSubmit(Connection* conn,
+                                                const WireRequest& req) {
   // Gate 1 — drain: a draining server takes no new work, only lets the
   // in-flight finish. The hint paces clients toward a live replica (or a
   // restarted self).
   if (draining_.load(std::memory_order_relaxed)) {
     ServerMetrics::Get().drain_shed.Add();
-    return EncodeErrorResponse(
+    return Share(EncodeErrorResponse(
         req.id,
         Status::Unavailable("server is draining — no new submits"),
-        options_.drain_retry_after_ms);
+        options_.drain_retry_after_ms));
   }
 
   // Idempotency: one id, one execution. A re-submit of a live id attaches
@@ -553,7 +605,7 @@ std::string QueryServer::HandleSubmit(Connection* conn,
         std::string out;
         AppendOkHead(req.id, &out);
         out += ",\"queued\":true,\"attached\":true}";
-        return out;
+        return Share(std::move(out));
       }
     } else if (const CompletedEntry* done = FindCompletedLocked(req.id)) {
       if (!done->disconnect_cancelled) {
@@ -564,7 +616,7 @@ std::string QueryServer::HandleSubmit(Connection* conn,
       // re-run it fresh (drop the poison entry so polls stop seeing it).
       for (auto ce = completed_.begin(); ce != completed_.end(); ++ce) {
         if (ce->id == req.id) {
-          completed_.erase(ce);
+          EraseCompletedLocked(ce);
           break;
         }
       }
@@ -576,22 +628,22 @@ std::string QueryServer::HandleSubmit(Connection* conn,
   // client with no side effects to undo.
   uint64_t adaptive_hint = 0;
   if (engine_->CheckAdmission(&adaptive_hint)) {
-    return EncodeErrorResponse(
+    return Share(EncodeErrorResponse(
         req.id,
         Status::Unavailable(
             "engine overloaded (queue delay p95 over threshold)"),
-        adaptive_hint);
+        adaptive_hint));
   }
 
   Timer parse_timer;
   Pattern pattern;
   if (req.xpath) {
     Result<XPathQuery> q = ParseXPath(req.query);
-    if (!q.ok()) return EncodeErrorResponse(req.id, q.status());
+    if (!q.ok()) return Share(EncodeErrorResponse(req.id, q.status()));
     pattern = std::move(q).value().pattern;
   } else {
     Result<Pattern> p = ParsePattern(req.query);
-    if (!p.ok()) return EncodeErrorResponse(req.id, p.status());
+    if (!p.ok()) return Share(EncodeErrorResponse(req.id, p.status()));
     pattern = std::move(p).value();
   }
 
@@ -604,13 +656,14 @@ std::string QueryServer::HandleSubmit(Connection* conn,
   const std::string tenant = options.tenant;
 
   // Gate 3 — per-tenant quota.
-  const TenantQuotaTable::Decision decision = quotas_.Admit(tenant, NowUs());
+  const TenantQuotaTable::Decision decision =
+      quotas_.Admit(tenant, options_.clock.now_us());
   if (!decision.admitted) {
-    return EncodeErrorResponse(
+    return Share(EncodeErrorResponse(
         req.id,
         Status::ResourceExhausted("tenant '" + tenant + "' over its " +
                                   decision.reason + " quota — retry later"),
-        decision.retry_after_ms);
+        decision.retry_after_ms));
   }
 
   const uint64_t cap = quotas_.LiveBytesCap(tenant);
@@ -644,10 +697,11 @@ std::string QueryServer::HandleSubmit(Connection* conn,
   std::string out;
   AppendOkHead(req.id, &out);
   out += ",\"queued\":true}";
-  return out;
+  return Share(std::move(out));
 }
 
-std::string QueryServer::HandlePoll(Connection* conn, const WireRequest& req) {
+QueryServer::Response QueryServer::HandlePoll(Connection* conn,
+                                              const WireRequest& req) {
   QueryHandle handle;
   uint64_t generation = 0;
   {
@@ -658,17 +712,17 @@ std::string QueryServer::HandlePoll(Connection* conn, const WireRequest& req) {
         if (done->disconnect_cancelled) {
           // The result was lost to a disconnect-cancel; NotFound tells a
           // resilient client to re-submit under the same id.
-          return EncodeErrorResponse(
+          return Share(EncodeErrorResponse(
               req.id, Status::NotFound(
                           "query '" + req.id +
                           "' was cancelled when its connection dropped — "
-                          "re-submit it"));
+                          "re-submit it")));
         }
         ServerMetrics::Get().replays.Add();
         return done->response;
       }
-      return EncodeErrorResponse(
-          req.id, Status::NotFound("no query with id '" + req.id + "'"));
+      return Share(EncodeErrorResponse(
+          req.id, Status::NotFound("no query with id '" + req.id + "'")));
     }
     // Polling adopts the query: once a (possibly reconnected) client is
     // following an id, the previous connection's disconnect must not
@@ -690,16 +744,16 @@ std::string QueryServer::HandlePoll(Connection* conn, const WireRequest& req) {
     std::string out;
     AppendOkHead(req.id, &out);
     out += ",\"done\":false}";
-    return out;
+    return Share(std::move(out));
   }
   const Result<QueryResult>& result = handle.Wait();
-  std::string response =
+  Response response = Share(
       result.ok()
           ? EncodeDoneResult(req.id, result.value(), options_.max_frame_bytes)
-          : EncodeDoneError(req.id, result.status(), handle.error_info());
+          : EncodeDoneError(req.id, result.status(), handle.error_info()));
   {
-    // Consume: move the terminal response into the replay ring — unless a
-    // newer generation took the id over in the meantime.
+    // Consume: the replay ring shares the terminal response with this
+    // reply — unless a newer generation took the id over in the meantime.
     std::lock_guard<std::mutex> lock(queries_mu_);
     auto it = queries_.find(req.id);
     if (it != queries_.end() && it->second.generation == generation) {
@@ -811,14 +865,14 @@ std::string QueryServer::HandlePing(const WireRequest& req) {
   return out;
 }
 
-std::string QueryServer::HandleUpdate(const WireRequest& req) {
+QueryServer::Response QueryServer::HandleUpdate(const WireRequest& req) {
   // Writes obey the same drain gate as submits: a draining server only
   // finishes what it already accepted.
   if (draining_.load(std::memory_order_relaxed)) {
     ServerMetrics::Get().drain_shed.Add();
-    return EncodeErrorResponse(
+    return Share(EncodeErrorResponse(
         req.id, Status::Unavailable("server is draining — no new updates"),
-        options_.drain_retry_after_ms);
+        options_.drain_retry_after_ms));
   }
 
   // Idempotency: a mutation id that already completed replays its stored
@@ -837,13 +891,13 @@ std::string QueryServer::HandleUpdate(const WireRequest& req) {
 
   const std::string tenant = req.tenant.empty() ? "default" : req.tenant;
   const TenantQuotaTable::Decision decision =
-      quotas_.AdmitWrite(tenant, NowUs());
+      quotas_.AdmitWrite(tenant, options_.clock.now_us());
   if (!decision.admitted) {
-    return EncodeErrorResponse(
+    return Share(EncodeErrorResponse(
         req.id,
         Status::ResourceExhausted("tenant '" + tenant + "' over its " +
                                   decision.reason + " quota — retry later"),
-        decision.retry_after_ms);
+        decision.retry_after_ms));
   }
 
   // One write at a time: apply-then-record must be atomic per id, or a
@@ -877,7 +931,7 @@ std::string QueryServer::HandleUpdate(const WireRequest& req) {
   if (!result.ok()) {
     // Failed mutations changed nothing and are not recorded: the client
     // may retry the same id after fixing the request.
-    return EncodeErrorResponse(req.id, result.status());
+    return Share(EncodeErrorResponse(req.id, result.status()));
   }
   const MutationResult& mr = result.value();
 
@@ -901,11 +955,12 @@ std::string QueryServer::HandleUpdate(const WireRequest& req) {
   AppendJsonUint(engine_->has_database() ? engine_->db().LiveNodeCount() : 0,
                  &out);
   out += "}";
+  Response response = Share(std::move(out));
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
-    PushCompletedLocked(req.id, out, /*disconnect_cancelled=*/false);
+    PushCompletedLocked(req.id, response, /*disconnect_cancelled=*/false);
   }
-  return out;
+  return response;
 }
 
 std::string QueryServer::HandleDrain(const WireRequest& req) {

@@ -28,7 +28,9 @@
 // re-submitting a completed id replays the stored response byte for byte,
 // except entries that were cancelled by a disconnect — those were never
 // delivered, so a re-submit re-runs them and a poll answers NotFound
-// (telling a resilient client to re-submit).
+// (telling a resilient client to re-submit). A terminal response is built
+// once and shared, not copied, between the ring and the socket write; the
+// ring's size is exported as sjos_server_completed_ring_{entries,bytes}.
 //
 // Connections: one thread per connection, one in-flight request per
 // connection (submitted queries complete in the background; concurrency
@@ -57,6 +59,7 @@
 #include "common/status.h"
 #include "net/codec.h"
 #include "net/quota.h"
+#include "net/retry_policy.h"
 #include "service/engine.h"
 
 namespace sjos {
@@ -92,8 +95,14 @@ struct ServerOptions {
 
   /// Capacity of the recently-completed ring (terminal responses kept for
   /// idempotent replay). Oldest entries are evicted first; a client
-  /// re-submitting an evicted id re-runs the query.
+  /// re-submitting an evicted id re-runs the query. The bound is on
+  /// entries, not bytes: each holds its full response.
   size_t completed_ring_capacity = 256;
+
+  /// Clock feeding the per-tenant quota buckets (only now_us is used).
+  /// Tests substitute the fake clock they give the resilient client, so
+  /// both sides of a shed-and-retry exchange see the same time.
+  RetryClock clock = RetryClock::Real();
 
   /// Default drain deadline when the wire 'drain' verb carries no
   /// wait_ms: in-flight queries still running after this are cancelled.
@@ -107,6 +116,15 @@ struct ServerOptions {
   /// Hint attached to submits shed by the drain gate.
   uint64_t drain_retry_after_ms = 500;
 };
+
+/// The terminal poll response of a finished query: `{"id":..,"ok":true,
+/// "done":true,"result":{"slots":[..],"rows":[[..],..],"row_count":N,
+/// "stats":{..},...}}`, with columns in ascending pattern-node order and
+/// rows in canonical order (TupleSet::CanonicalOrder), so equal results
+/// encode to equal bytes. A result that could not fit in `max_payload`
+/// becomes a ResourceExhausted error response instead.
+std::string EncodeDoneResult(std::string_view id, const QueryResult& qr,
+                             size_t max_payload);
 
 class QueryServer {
  public:
@@ -165,10 +183,15 @@ class QueryServer {
     uint64_t generation = 0;
   };
 
+  /// A response payload. Terminal responses are shared between the
+  /// socket write and the completed ring, so replay sends the very bytes
+  /// stored.
+  using Response = std::shared_ptr<const std::string>;
+
   /// One terminal response retained for idempotent replay.
   struct CompletedEntry {
     std::string id;
-    std::string response;
+    Response response;
     /// True when a disconnect cancelled the query before its result was
     /// ever delivered: re-submits re-run instead of replaying, and polls
     /// answer NotFound.
@@ -193,20 +216,22 @@ class QueryServer {
   /// grants the poll grace, then Stop()s.
   void DrainImpl(uint64_t deadline_ms);
 
-  /// Ring insert; caller holds queries_mu_.
-  void PushCompletedLocked(std::string id, std::string response,
+  /// Ring insert and removal; caller holds queries_mu_. Both keep the
+  /// ring gauges current.
+  void PushCompletedLocked(std::string id, Response response,
                            bool disconnect_cancelled);
+  void EraseCompletedLocked(std::deque<CompletedEntry>::iterator it);
   const CompletedEntry* FindCompletedLocked(const std::string& id) const;
 
-  std::string HandleRequest(Connection* conn, std::string_view payload);
-  std::string HandleSubmit(Connection* conn, const WireRequest& req);
-  std::string HandlePoll(Connection* conn, const WireRequest& req);
+  Response HandleRequest(Connection* conn, std::string_view payload);
+  Response HandleSubmit(Connection* conn, const WireRequest& req);
+  Response HandlePoll(Connection* conn, const WireRequest& req);
   std::string HandleCancel(Connection* conn, const WireRequest& req);
   std::string HandleExplain(const WireRequest& req);
   std::string HandleStats(const WireRequest& req);
   std::string HandlePing(const WireRequest& req);
   std::string HandleDrain(const WireRequest& req);
-  std::string HandleUpdate(const WireRequest& req);
+  Response HandleUpdate(const WireRequest& req);
 
   Engine* engine_;
   const ServerOptions options_;

@@ -438,8 +438,9 @@ TEST_F(ServiceTest, StatsVerbReportsInFlightAndSlowQueries) {
   EXPECT_TRUE(seen) << "query never appeared in stats in_flight";
 
   // The slow array is served from the engine's slow ring.
-  const JsonValue* slow =
-      client.Call("{\"verb\":\"stats\",\"id\":\"s2\"}").value().Find("slow");
+  Result<JsonValue> stats = client.Call("{\"verb\":\"stats\",\"id\":\"s2\"}");
+  ASSERT_TRUE(stats.ok());
+  const JsonValue* slow = stats.value().Find("slow");
   ASSERT_NE(slow, nullptr);
   EXPECT_TRUE(slow->is_array());
 }
@@ -556,6 +557,9 @@ TEST_F(ServiceTest, PollFromSecondConnectionTransfersOwnership) {
 
 TEST_F(ServiceTest, DisconnectCancelledQueryRerunsOnResubmit) {
   StartServer();
+  const Counter& disconnect_cancels = MetricsRegistry::Global().GetCounter(
+      "sjos_server_disconnect_cancels_total");
+  const uint64_t cancels_before = disconnect_cancels.Value();
   ASSERT_TRUE(
       FailpointRegistry::Global().Enable("exec.batch", "delay:20").ok());
   {
@@ -568,9 +572,11 @@ TEST_F(ServiceTest, DisconnectCancelledQueryRerunsOnResubmit) {
   }  // disconnect cancels the still-owned query
 
   // Wait for the teardown to record the disconnect-cancelled terminal.
+  // The connection counts its cancels only after parking them in the
+  // completed ring; live_queries() drops earlier, when the query ends.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (server_->live_queries() > 0 &&
+  while (disconnect_cancels.Value() == cancels_before &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }

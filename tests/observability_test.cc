@@ -137,6 +137,11 @@ TEST(ObservabilityTest, HttpEndpointsServeMetricsHealthAndStatus) {
   EXPECT_TRUE(v.Find("in_flight")->is_array());
   ASSERT_NE(v.Find("queries_logged"), nullptr);
   EXPECT_GE(v.Find("queries_logged")->number_value(), 1.0);
+  // The query servers' replay-ring size rides along.
+  ASSERT_NE(v.Find("completed_ring_entries"), nullptr);
+  EXPECT_TRUE(v.Find("completed_ring_entries")->is_number());
+  ASSERT_NE(v.Find("completed_ring_bytes"), nullptr);
+  EXPECT_TRUE(v.Find("completed_ring_bytes")->is_number());
 
   EXPECT_EQ(Get(server.port(), "/nope").status, 404);
   EXPECT_EQ(Fetch(server.port(), "POST /metrics HTTP/1.0\r\n\r\n").status,

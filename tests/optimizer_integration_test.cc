@@ -11,6 +11,7 @@
 #include "exec/naive_matcher.h"
 #include "plan/plan_props.h"
 #include "plan/random_plans.h"
+#include "query/pattern_parser.h"
 #include "query/workload.h"
 #include "storage/catalog.h"
 
@@ -116,6 +117,38 @@ TEST_P(WorkloadSweep, HistogramEstimatesStillYieldCorrectPlans) {
     ExecResult result =
         std::move(exec.Execute(query_.pattern, r.value().plan)).value();
     EXPECT_EQ(result.tuples.Canonical(), expected) << optimizer->name();
+  }
+}
+
+TEST(OneNodePatternTest, EveryAlgorithmPlansTheIndexScan) {
+  // A pattern without edges has no join order; every algorithm must still
+  // return a plan (the single index scan) and its result must be the
+  // oracle's.
+  DatasetScale scale;
+  scale.base_nodes = 2000;
+  Database db = std::move(MakePaperDataset("Pers", scale)).value();
+  ExactEstimator est(db.doc(), db.index());
+  CostModel cm;
+  Executor exec(db);
+  for (const char* text : {"manager", "employee", "name"}) {
+    Pattern pattern = std::move(ParsePattern(text)).value();
+    ASSERT_EQ(pattern.NumEdges(), 0u) << text;
+    PatternEstimates pe =
+        std::move(PatternEstimates::Make(pattern, db.doc(), est)).value();
+    OptimizeContext ctx{&pattern, &pe, &cm};
+    auto expected = std::move(NaiveMatch(db.doc(), pattern)).value();
+    ASSERT_FALSE(expected.empty()) << text;
+    for (const auto& optimizer : MakePaperOptimizers(pattern.NumEdges())) {
+      Result<OptimizeResult> r = optimizer->Optimize(ctx);
+      ASSERT_TRUE(r.ok()) << text << " / " << optimizer->name() << ": "
+                          << r.status().ToString();
+      ASSERT_TRUE(ValidatePlan(r.value().plan, pattern).ok())
+          << text << " / " << optimizer->name();
+      ExecResult result =
+          std::move(exec.Execute(pattern, r.value().plan)).value();
+      EXPECT_EQ(result.tuples.Canonical(), expected)
+          << text << " / " << optimizer->name();
+    }
   }
 }
 

@@ -137,7 +137,8 @@ TEST(CircuitBreakerTest, FailedProbeReopensForAnotherFullWindow) {
 
 // ---------------------------------------------------------------------------
 // ResilientClient + fake clock: the server's retry_after_ms hint overrides
-// the client's own backoff schedule.
+// the client's own backoff schedule. The server's quota table runs on the
+// same fake clock, so the hint cannot drift between retries.
 
 TEST(ResilientClientHintTest, ShedHintDrivesTheSleepNotBackoff) {
   Engine engine;
@@ -145,20 +146,23 @@ TEST(ResilientClientHintTest, ShedHintDrivesTheSleepNotBackoff) {
   scale.base_nodes = 1'000;
   ASSERT_TRUE(
       engine.OpenDatabase(MakePaperDataset("Pers", scale).value()).ok());
+  // Fake clock shared by both sides: time stands still (so the qps bucket
+  // never refills and every shed carries the same hint) and every sleep
+  // is recorded instead of taken.
+  std::vector<uint64_t> sleeps_us;
+  RetryClock clock;
+  clock.now_us = [] { return uint64_t{1'000'000}; };
+  clock.sleep_us = [&sleeps_us](uint64_t us) { sleeps_us.push_back(us); };
+
   ServerOptions server_options;
   server_options.default_quota.qps = 0.001;  // ~everything past burst sheds
   server_options.default_quota.burst = 1.0;
+  server_options.clock = clock;
   QueryServer server(&engine, server_options);
   ASSERT_TRUE(server.Start().ok());
 
-  // Fake clock: time stands still (so the qps bucket never refills) and
-  // every sleep is recorded instead of taken.
-  std::vector<uint64_t> sleeps_us;
   ResilientClientOptions options;
-  options.clock.now_us = [] { return uint64_t{1'000'000}; };
-  options.clock.sleep_us = [&sleeps_us](uint64_t us) {
-    sleeps_us.push_back(us);
-  };
+  options.clock = clock;
   options.retry.max_attempts = 3;
   options.retry.budget_tokens = 100.0;
   ResilientClient client("127.0.0.1", server.port());
